@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the sanitizer passes, runnable locally or from CI:
 #
-#   scripts/ci.sh            # tier-1, diff, then ASan+UBSan and TSan stages
+#   scripts/ci.sh            # tier-1, diff, churn, routerbench self-test,
+#                            # then ASan+UBSan and TSan stages
 #   scripts/ci.sh --fast     # skip the sanitizer builds
 #
 # Exits non-zero on the first failure. Build trees live under build/ (the
@@ -52,6 +53,15 @@ echo "== churn: control-plane differential tests =="
 # lane below (they are not in its exclude list), and the sharded variant
 # (churn-parallel-tsan) runs in the TSan lane via -L tsan.
 ctest --test-dir "$repo/build" --output-on-failure -L '^churn$'
+
+echo "== routerbench self-test: every workload's oracle still holds =="
+# Smoke-size runs of all four routerbench workloads under two seeds, plain
+# and traced, plus an injected verdict flip the oracle must catch
+# (routerbench/README.md). A change that breaks a workload's correctness
+# check fails here rather than only when the benchmark runs. The bench's
+# own Release build tree goes under build/.
+CARGO_TARGET_DIR="$repo/build/routerbench-ci" \
+  python3 "$repo/routerbench/selftest.py"
 
 if [[ "$fast" == "1" ]]; then
   echo "== skipping sanitizer passes (--fast) =="

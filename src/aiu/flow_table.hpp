@@ -73,8 +73,10 @@ class FlowTable {
     cleared,      // table flush
   };
   // Observes every entry removal, after the flow_removed plugin callbacks
-  // and before the record is wiped (control path only; remove is never on
-  // the per-packet fast path).
+  // and before the record is wiped. Not control-path only: the LRU recycle
+  // in insert() removes an entry on the per-packet miss path, so this hook
+  // and every flow_removed run there too and must be O(1) in the number of
+  // tracked flows.
   using RemoveHook = std::function<void(const FlowRecord&, RemoveReason)>;
 
   struct Stats {

@@ -220,18 +220,18 @@ void Worker::run() {
       std::this_thread::yield();
       continue;
     }
-    // Park until the doorbell rings (Dekker handshake with try_submit/post;
-    // the bounded wait is a belt-and-braces backstop, not a correctness
-    // requirement).
+    // Park until the doorbell rings (Dekker handshake with try_submit/post:
+    // a producer that pushes after this store sees sleeping_ and notifies
+    // under nap_mu_). The wake condition is tested under nap_mu_ too, so a
+    // ring cannot fall between the test and the wait; the bounded wait is
+    // a belt-and-braces backstop, not a correctness requirement.
     sleeping_.store(true, std::memory_order_seq_cst);
-    if (!rx_idle() || !commands_.empty() ||
-        stop_.load(std::memory_order_seq_cst)) {
-      sleeping_.store(false, std::memory_order_relaxed);
-      continue;
-    }
     {
       std::unique_lock<std::mutex> lk(nap_mu_);
-      nap_cv_.wait_for(lk, std::chrono::milliseconds(2));
+      nap_cv_.wait_for(lk, std::chrono::milliseconds(2), [this] {
+        return !rx_idle() || !commands_.empty() ||
+               stop_.load(std::memory_order_seq_cst);
+      });
     }
     sleeping_.store(false, std::memory_order_relaxed);
     idle_spins = 0;

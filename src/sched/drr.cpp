@@ -155,12 +155,7 @@ void DrrInstance::flow_removed(void* flow_soft) {
 }
 
 void DrrInstance::destroy(FlowQueue* q) {
-  // Account for any packets thrown away with the queue.
-  for (const auto& p : q->pkts) {
-    backlog_bytes_ -= p->size();
-    --backlog_pkts_;
-  }
-  if (q->active) std::erase(active_, q);
+  // Only ever called on a drained, unlinked queue.
   if (q->in_fallback) fallback_.erase(q->key);
   queues_.erase(q->self);
 }

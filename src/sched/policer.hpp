@@ -50,6 +50,7 @@ class PolicerInstance final : public plugin::PluginInstance {
     netbase::SimTime last{0};
     bool primed{false};
     void** soft_slot{nullptr};
+    std::list<std::unique_ptr<Bucket>>::iterator self{};  // O(1) release
   };
 
   // Returns true if `bytes` conforms (and consumes the tokens).

@@ -24,16 +24,15 @@ Wf2qInstance::FlowQueue* Wf2qInstance::queue_for(const pkt::Packet& p,
     if (auto it = fallback_.find(p.key); it != fallback_.end())
       return it->second;
   }
-  auto q = std::make_unique<FlowQueue>();
-  q->weight = weight_for(p.key);
-  q->soft_slot = flow_soft;
-  FlowQueue* raw = q.get();
-  queues_.push_back(std::move(q));
+  FlowQueue& q = *queues_.emplace_back(std::make_unique<FlowQueue>());
+  q.weight = weight_for(p.key);
+  q.soft_slot = flow_soft;
+  q.self = std::prev(queues_.end());
   if (flow_soft)
-    *flow_soft = raw;
+    *flow_soft = &q;
   else
-    fallback_[p.key] = raw;
-  return raw;
+    fallback_[p.key] = &q;
+  return &q;
 }
 
 void Wf2qInstance::stamp_head(FlowQueue& q) {
@@ -92,7 +91,7 @@ pkt::PacketPtr Wf2qInstance::dequeue(netbase::SimTime /*now*/) {
     best->active = false;
     active_weight_ -= best->weight;
     std::erase(active_, best);
-    if (best->orphaned) destroy(best);
+    if (best->orphaned) queues_.erase(best->self);
   } else {
     stamp_head(*best);
   }
@@ -103,24 +102,12 @@ void Wf2qInstance::flow_removed(void* flow_soft) {
   auto* q = static_cast<FlowQueue*>(flow_soft);
   if (!q) return;
   q->soft_slot = nullptr;
-  if (q->pkts.empty() && !q->active) {
-    destroy(q);
-  } else {
-    q->orphaned = true;
-  }
-}
-
-void Wf2qInstance::destroy(FlowQueue* q) {
-  for (const auto& p : q->pkts) {
-    backlog_bytes_ -= p->size();
-    --backlog_pkts_;
-  }
-  if (q->active) {
-    active_weight_ -= q->weight;
-    std::erase(active_, q);
-  }
-  std::erase_if(fallback_, [q](const auto& kv) { return kv.second == q; });
-  queues_.remove_if([q](const auto& up) { return up.get() == q; });
+  // A queue is active exactly while it holds packets, so an idle one is on
+  // no list but queues_; a flow-bound queue is never in fallback_.
+  if (q->active)
+    q->orphaned = true;  // drain in-flight packets first
+  else
+    queues_.erase(q->self);
 }
 
 Status Wf2qInstance::handle_message(const plugin::PluginMsg& msg,

@@ -59,8 +59,9 @@ class Wf2qInstance final : public core::OutputScheduler {
     double finish{0};  // virtual finish of the head packet
     double last_finish{0};
     bool active{false};
-    bool orphaned{false};
+    bool orphaned{false};  // flow-table entry gone; free once drained
     void** soft_slot{nullptr};
+    std::list<std::unique_ptr<FlowQueue>>::iterator self{};  // O(1) release
   };
 
   struct KeyHash {
@@ -72,7 +73,6 @@ class Wf2qInstance final : public core::OutputScheduler {
   FlowQueue* queue_for(const pkt::Packet& p, void** flow_soft);
   std::uint32_t weight_for(const pkt::FlowKey& key) const;
   void stamp_head(FlowQueue& q);  // compute start/finish for the new head
-  void destroy(FlowQueue* q);
 
   Config cfg_;
   std::list<std::unique_ptr<FlowQueue>> queues_;

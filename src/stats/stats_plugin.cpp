@@ -27,13 +27,12 @@ StatsInstance::~StatsInstance() {
 StatsInstance::FlowCounter* StatsInstance::counter_for(const pkt::Packet& p,
                                                        void** flow_soft) {
   if (flow_soft && *flow_soft) return static_cast<FlowCounter*>(*flow_soft);
-  auto owned = std::make_unique<FlowCounter>();
-  owned->key = p.key;
-  owned->soft_slot = flow_soft;
-  FlowCounter* fc = owned.get();
-  flows_.push_back(std::move(owned));
-  if (flow_soft) *flow_soft = fc;
-  return fc;
+  FlowCounter& fc = *flows_.emplace_back(std::make_unique<FlowCounter>());
+  fc.key = p.key;
+  fc.soft_slot = flow_soft;
+  fc.self = std::prev(flows_.end());
+  if (flow_soft) *flow_soft = &fc;
+  return &fc;
 }
 
 void StatsInstance::count(FlowCounter& fc, const pkt::Packet& p) {
@@ -79,27 +78,22 @@ bool StatsInstance::migrate_flow(plugin::PluginInstance* from,
   (void)key;
   auto* prev = dynamic_cast<StatsInstance*>(from);
   if (!prev || !flow_soft || !*flow_soft) return false;
+  // The slot is bound to `prev`, so the counter is a node of prev->flows_.
+  // Steal it wholesale (a one-node splice; the record does not move):
+  // per-flow history survives the upgrade, and the aggregate totals it
+  // contributed move with it.
   auto* fc = static_cast<FlowCounter*>(*flow_soft);
-  for (auto it = prev->flows_.begin(); it != prev->flows_.end(); ++it) {
-    if (it->get() != fc) continue;
-    // Steal the counter wholesale: per-flow history survives the upgrade,
-    // and the aggregate totals it contributed move with it.
-    flows_.push_back(std::move(*it));
-    prev->flows_.erase(it);
-    total_packets_.fetch_add(fc->packets, std::memory_order_relaxed);
-    total_bytes_.fetch_add(fc->bytes, std::memory_order_relaxed);
-    prev->total_packets_.fetch_sub(fc->packets, std::memory_order_relaxed);
-    prev->total_bytes_.fetch_sub(fc->bytes, std::memory_order_relaxed);
-    return true;
-  }
-  return false;  // not a counter this plugin family owns
+  flows_.splice(flows_.end(), prev->flows_, fc->self);
+  total_packets_.fetch_add(fc->packets, std::memory_order_relaxed);
+  total_bytes_.fetch_add(fc->bytes, std::memory_order_relaxed);
+  prev->total_packets_.fetch_sub(fc->packets, std::memory_order_relaxed);
+  prev->total_bytes_.fetch_sub(fc->bytes, std::memory_order_relaxed);
+  return true;
 }
 
 void StatsInstance::flow_removed(void* flow_soft) {
-  auto* fc = static_cast<FlowCounter*>(flow_soft);
-  if (!fc) return;
   // Keep counting totals; the per-flow record dies with the flow entry.
-  flows_.remove_if([fc](const auto& up) { return up.get() == fc; });
+  if (flow_soft) flows_.erase(static_cast<FlowCounter*>(flow_soft)->self);
 }
 
 Status StatsInstance::handle_message(const plugin::PluginMsg& msg,

@@ -48,6 +48,9 @@ class StatsInstance final : public plugin::PluginInstance {
     // size histogram buckets: <=64, <=256, <=1024, <=4096, larger
     std::uint64_t size_hist[5]{};
     void** soft_slot{nullptr};
+    // This record's node in its owner's flows_, so release and upgrade
+    // handoff are O(1) in the number of tracked flows.
+    std::list<std::unique_ptr<FlowCounter>>::iterator self{};
   };
 
   std::uint64_t total_packets() const noexcept { return total_packets_; }

@@ -15,13 +15,12 @@ TcpMonInstance::~TcpMonInstance() {
 TcpMonInstance::FlowState* TcpMonInstance::state_for(const pkt::Packet& p,
                                                      void** flow_soft) {
   if (flow_soft && *flow_soft) return static_cast<FlowState*>(*flow_soft);
-  auto owned = std::make_unique<FlowState>();
-  owned->key = p.key;
-  owned->soft_slot = flow_soft;
-  FlowState* fs = owned.get();
-  flows_.push_back(std::move(owned));
-  if (flow_soft) *flow_soft = fs;
-  return fs;
+  FlowState& fs = *flows_.emplace_back(std::make_unique<FlowState>());
+  fs.key = p.key;
+  fs.soft_slot = flow_soft;
+  fs.self = std::prev(flows_.end());
+  if (flow_soft) *flow_soft = &fs;
+  return &fs;
 }
 
 Verdict TcpMonInstance::handle_packet(pkt::Packet& p, void** flow_soft) {
@@ -71,9 +70,7 @@ Verdict TcpMonInstance::handle_packet(pkt::Packet& p, void** flow_soft) {
 }
 
 void TcpMonInstance::flow_removed(void* flow_soft) {
-  auto* fs = static_cast<FlowState*>(flow_soft);
-  if (!fs) return;
-  flows_.remove_if([fs](const auto& up) { return up.get() == fs; });
+  if (flow_soft) flows_.erase(static_cast<FlowState*>(flow_soft)->self);
 }
 
 Status TcpMonInstance::handle_message(const plugin::PluginMsg& msg,

@@ -34,6 +34,7 @@ class TcpMonInstance final : public plugin::PluginInstance {
     std::uint64_t retransmits{0};
     std::uint64_t backoff_events{0};
     void** soft_slot{nullptr};
+    std::list<std::unique_ptr<FlowState>>::iterator self{};  // O(1) release
   };
 
   ~TcpMonInstance() override;

@@ -183,6 +183,15 @@ struct EquivParam {
   std::uint64_t seed;
 };
 
+// Without this gtest prints the raw bytes of the struct (the engine-name
+// pointer and padding), and test discovery builds the ctest names from that
+// print, so the names would change from build to build.
+void PrintTo(const EquivParam& p, std::ostream* os) {
+  *os << p.engine << (p.collapse ? "_collapse" : "_nocollapse")
+      << (p.ver == netbase::IpVersion::v4 ? "_v4" : "_v6") << "_seed"
+      << p.seed;
+}
+
 class DagEquivalence : public ::testing::TestWithParam<EquivParam> {};
 
 TEST_P(DagEquivalence, MatchesLinearReference) {

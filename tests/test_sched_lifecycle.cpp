@@ -2,9 +2,9 @@
 // flow-table entry can die — explicit removal, idle expiry, LRU recycling at
 // the record cap, filter/instance purge — must end with the scheduler's
 // per-flow state freed once the queue drains, and never before the queued
-// packets are served. This is the regression net over the DRR/H-FSC/Eiffel
-// `flow_removed` paths (drained-queue destruction, orphan draining, fallback
-// sweeping, H-FSC sub-queue erasure).
+// packets are served. This is the regression net over the DRR/H-FSC/
+// Eiffel/WF²Q+ `flow_removed` paths (drained-queue destruction, orphan
+// draining, fallback sweeping, H-FSC sub-queue erasure).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,6 +13,7 @@
 #include "sched/drr.hpp"
 #include "sched/eiffel.hpp"
 #include "sched/hfsc.hpp"
+#include "sched/wf2q.hpp"
 #include "tgen/workload.hpp"
 
 namespace rp::sched {
@@ -82,6 +83,9 @@ TEST(SchedHandleLifecycle, DrrExpirySweepFreesPerFlowState) {
 TEST(SchedHandleLifecycle, EiffelExpirySweepFreesPerFlowState) {
   expiry_frees_state<EiffelInstance>();
 }
+TEST(SchedHandleLifecycle, Wf2qExpirySweepFreesPerFlowState) {
+  expiry_frees_state<Wf2qInstance>();
+}
 
 template <typename Engine>
 void eviction_frees_state() {
@@ -112,6 +116,9 @@ TEST(SchedHandleLifecycle, DrrEvictionRecycleFreesState) {
 TEST(SchedHandleLifecycle, EiffelEvictionRecycleFreesState) {
   eviction_frees_state<EiffelInstance>();
 }
+TEST(SchedHandleLifecycle, Wf2qEvictionRecycleFreesState) {
+  eviction_frees_state<Wf2qInstance>();
+}
 
 template <typename Engine>
 void filter_flip_frees_state() {
@@ -137,6 +144,9 @@ TEST(SchedHandleLifecycle, DrrFilterFlipPurgesOnlyItsFlows) {
 }
 TEST(SchedHandleLifecycle, EiffelFilterFlipPurgesOnlyItsFlows) {
   filter_flip_frees_state<EiffelInstance>();
+}
+TEST(SchedHandleLifecycle, Wf2qFilterFlipPurgesOnlyItsFlows) {
+  filter_flip_frees_state<Wf2qInstance>();
 }
 
 TEST(SchedHandleLifecycle, HfscSubqueuesEraseOnDrainAcrossRemoval) {
