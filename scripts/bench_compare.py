@@ -43,6 +43,9 @@ HEADLINE = [
     ("t13_iobackend", "speedup_4w_zipf", "higher"),
     ("t13_iobackend", "speedup_4w_uniform", "higher"),
     ("t13_iobackend", "allocs_per_pkt", "lower"),
+    ("fb_flowtable", "hit_ns_256k", "lower"),
+    ("fb_flowtable", "accesses_256k", "lower"),
+    ("ff_bmp", "bsl_v4_ns", "lower"),
 ]
 
 

@@ -32,7 +32,7 @@ class Aiu {
   struct Options {
     std::string classifier{"dag"};  // "dag" | "linear" (evaluation baseline)
     DagFilterTable::Options dag{};
-    std::size_t flow_buckets{32768};  // §5.2 default
+    std::size_t flow_buckets{32768};  // §5.2 default; initial, grows with pool
     std::size_t initial_flows{1024};  // §5.2 default
     std::size_t max_flows{1 << 20};
     bool flow_cache_enabled{true};    // ablation switch (bench F-G)

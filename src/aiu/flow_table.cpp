@@ -14,9 +14,10 @@ FlowTable::FlowTable(std::size_t buckets, std::size_t initial_records,
     : max_records_(max_records) {
   buckets_.assign(std::bit_ceil(buckets), -1);
   recs_.resize(initial_records == 0 ? 1 : initial_records);
-  for (std::size_t i = 0; i < recs_.size(); ++i)
-    recs_[i].hash_next = i + 1 < recs_.size() ? static_cast<std::int32_t>(i + 1)
-                                              : -1;
+  links_.resize(recs_.size());
+  for (std::size_t i = 0; i < links_.size(); ++i)
+    links_[i].hash_next =
+        i + 1 < links_.size() ? static_cast<std::int32_t>(i + 1) : -1;
   free_head_ = 0;
 }
 
@@ -28,31 +29,46 @@ void FlowTable::grow_free_list() {
   if (grown > max_records_) grown = max_records_;
   if (grown <= old) return;
   recs_.resize(grown);
+  links_.resize(grown);
   for (std::size_t i = old; i < grown; ++i)
-    recs_[i].hash_next = i + 1 < grown ? static_cast<std::int32_t>(i + 1) : -1;
+    links_[i].hash_next =
+        i + 1 < grown ? static_cast<std::int32_t>(i + 1) : -1;
   free_head_ = static_cast<std::int32_t>(old);
   ++stats_.grown;
+  if (buckets_.size() < 2 * grown) rehash(std::bit_ceil(2 * grown));
+}
+
+void FlowTable::rehash(std::size_t buckets) {
+  buckets_.assign(buckets, -1);
+  // Every live entry is on the LRU list. Pushing them onto their new bucket
+  // heads from the least to the most recently used leaves each chain in
+  // most-recent-first order.
+  for (std::int32_t i = lru_tail_; i >= 0; i = links_[i].lru_prev) {
+    std::int32_t& head = buckets_[bucket_of(links_[i].hash)];
+    links_[i].hash_next = head;
+    head = i;
+  }
 }
 
 void FlowTable::lru_push_front(pkt::FlowIndex i) {
-  recs_[i].lru_prev = -1;
-  recs_[i].lru_next = lru_head_;
-  if (lru_head_ >= 0) recs_[lru_head_].lru_prev = i;
+  links_[i].lru_prev = -1;
+  links_[i].lru_next = lru_head_;
+  if (lru_head_ >= 0) links_[lru_head_].lru_prev = i;
   lru_head_ = i;
   if (lru_tail_ < 0) lru_tail_ = i;
 }
 
 void FlowTable::lru_unlink(pkt::FlowIndex i) {
-  auto& r = recs_[i];
-  if (r.lru_prev >= 0)
-    recs_[r.lru_prev].lru_next = r.lru_next;
+  Link& l = links_[i];
+  if (l.lru_prev >= 0)
+    links_[l.lru_prev].lru_next = l.lru_next;
   else
-    lru_head_ = r.lru_next;
-  if (r.lru_next >= 0)
-    recs_[r.lru_next].lru_prev = r.lru_prev;
+    lru_head_ = l.lru_next;
+  if (l.lru_next >= 0)
+    links_[l.lru_next].lru_prev = l.lru_prev;
   else
-    lru_tail_ = r.lru_prev;
-  r.lru_prev = r.lru_next = -1;
+    lru_tail_ = l.lru_prev;
+  l.lru_prev = l.lru_next = -1;
 }
 
 void FlowTable::lru_touch(pkt::FlowIndex i) {
@@ -62,12 +78,12 @@ void FlowTable::lru_touch(pkt::FlowIndex i) {
 }
 
 void FlowTable::unchain(pkt::FlowIndex i) {
-  auto& r = recs_[i];
-  std::int32_t* link = &buckets_[r.bucket];
-  while (*link >= 0 && *link != i) link = &recs_[*link].hash_next;
+  Link& l = links_[i];
+  std::int32_t* link = &buckets_[bucket_of(l.hash)];
+  while (*link >= 0 && *link != i) link = &links_[*link].hash_next;
   assert(*link == i);
-  *link = r.hash_next;
-  r.hash_next = -1;
+  *link = l.hash_next;
+  l.hash_next = -1;
 }
 
 pkt::FlowIndex FlowTable::lookup(const pkt::FlowKey& key, std::uint64_t hash,
@@ -76,15 +92,16 @@ pkt::FlowIndex FlowTable::lookup(const pkt::FlowKey& key, std::uint64_t hash,
   std::int32_t i = buckets_[bucket_of(hash)];
   while (i >= 0) {
     MemAccess::count();  // chain entry fetch
-    FlowRecord& r = recs_[i];
-    if (r.hash == hash && r.key == key) {
+    const Link& l = links_[i];
+    if (l.hash == hash && recs_[i].key == key) {
+      FlowRecord& r = recs_[i];
       r.last_used = now;
       r.packets++;
       lru_touch(i);
       ++stats_.hits;
       return i;
     }
-    i = r.hash_next;
+    i = l.hash_next;
   }
   ++stats_.misses;
   return pkt::kNoFlow;
@@ -96,7 +113,7 @@ pkt::FlowIndex FlowTable::insert(const pkt::FlowKey& key, std::uint64_t hash,
   pkt::FlowIndex i;
   if (free_head_ >= 0) {
     i = free_head_;
-    free_head_ = recs_[i].hash_next;
+    free_head_ = links_[i].hash_next;
   } else {
     // Record cap reached: recycle the oldest entry (§5.2 item 4).
     i = lru_tail_;
@@ -105,19 +122,20 @@ pkt::FlowIndex FlowTable::insert(const pkt::FlowKey& key, std::uint64_t hash,
     ++stats_.recycled;
     --stats_.removed;  // recycling is not an explicit removal
     i = free_head_;
-    free_head_ = recs_[i].hash_next;
+    free_head_ = links_[i].hash_next;
   }
 
   FlowRecord& r = recs_[i];
   r = FlowRecord{};
   r.key = key;
-  r.hash = hash;
   r.last_used = now;
   r.first_seen = now;
   r.in_use = true;
-  r.bucket = bucket_of(hash);
-  r.hash_next = buckets_[r.bucket];
-  buckets_[r.bucket] = i;
+  Link& l = links_[i];
+  l.hash = hash;
+  std::int32_t& head = buckets_[bucket_of(hash)];
+  l.hash_next = head;
+  head = i;
   lru_push_front(i);
   ++active_;
   ++stats_.inserts;
@@ -137,7 +155,7 @@ void FlowTable::remove(pkt::FlowIndex i, RemoveReason why) {
   unchain(i);
   lru_unlink(i);
   r.in_use = false;
-  r.hash_next = free_head_;
+  links_[i].hash_next = free_head_;
   free_head_ = i;
   --active_;
   ++stats_.removed;

@@ -3,11 +3,19 @@
 // Each entry corresponds to one fully-specified flow and stores, for every
 // gate in the core, the bound plugin instance plus a per-flow soft-state
 // pointer for that instance, and a back-pointer to the filter record the
-// binding was derived from. Collisions chain on a singly linked list; the
-// bucket array (default 32768) is allocated up front. Records come from a
-// free list seeded with 1024 entries that doubles on exhaustion
-// (1024, 2048, 4096, ...) up to a configurable maximum, after which the
-// least recently used entries are recycled — all exactly as in §5.2.
+// binding was derived from. Collisions chain on a singly linked list.
+// Records come from a free list seeded with 1024 entries that doubles on
+// exhaustion (1024, 2048, 4096, ...) up to a configurable maximum, after
+// which the least recently used entries are recycled — all as in §5.2.
+//
+// Deviation from §5.2: the paper allocates a fixed bucket array (32768).
+// Here that is only the initial count; whenever the record pool grows, the
+// array doubles until it has two buckets per record, so the load factor
+// stays at most 1/2 and a hit costs the paper's ~2 accesses (2.25 on
+// average) at any table size, not one per chained flow. The chain and LRU
+// links live in a dense side array indexed by FIX (FlowTable::Link), so
+// walking a chain or relinking the LRU on a hit touches 24-byte entries
+// instead of whole FlowRecords.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +25,10 @@
 #include "aiu/filter_table.hpp"
 #include "netbase/clock.hpp"
 #include "pkt/packet.hpp"
+
+namespace rp::route {
+struct NextHop;
+}
 
 namespace rp::aiu {
 
@@ -36,7 +48,6 @@ struct GateBinding {
 
 struct FlowRecord {
   pkt::FlowKey key{};
-  std::uint64_t hash{0};  // full key hash, compared before the key itself
   // Bit `gate_index(g)` set iff gates[gate_index(g)] has a bound instance.
   // Written at classification time, so the core can skip a whole gate for a
   // burst chunk with one mask test instead of touching every binding. Any
@@ -53,12 +64,13 @@ struct FlowRecord {
   // with packets/first_seen/last_used this makes every entry a NetFlow-style
   // accounting record the telemetry subsystem exports when the entry dies.
   std::uint64_t bytes{0};
+  // Per-flow route cache, owned by the core's grouped tail: the next hop
+  // this flow's destination resolved to and the RoutingTable::generation()
+  // it was resolved under. Valid only while that generation is current;
+  // generation 0, which no table reports, marks it empty.
+  const route::NextHop* route_hop{nullptr};
+  std::uint64_t route_gen{0};
   bool in_use{false};
-
-  std::int32_t hash_next{-1};
-  std::uint32_t bucket{0};
-  std::int32_t lru_prev{-1};
-  std::int32_t lru_next{-1};
 };
 
 class FlowTable {
@@ -88,6 +100,8 @@ class FlowTable {
     std::uint64_t grown{0};      // free-list doubling events
   };
 
+  // `buckets` is the initial bucket count (rounded up to a power of two);
+  // it doubles with the record pool from there.
   explicit FlowTable(std::size_t buckets = 32768,
                      std::size_t initial_records = 1024,
                      std::size_t max_records = 1 << 20);
@@ -103,6 +117,8 @@ class FlowTable {
   }
   // Two-stage variant: the burst path hashes a whole burst first (issuing
   // prefetches in between), then probes with the precomputed hash.
+  // Touches the bucket head and one Link per chained entry; a FlowRecord is
+  // read only on a full-hash match.
   pkt::FlowIndex lookup(const pkt::FlowKey& key, std::uint64_t hash,
                         netbase::SimTime now);
 
@@ -119,11 +135,13 @@ class FlowTable {
     __builtin_prefetch(&buckets_[bucket_of(hash)]);
   }
   // Second prefetch stage: once the bucket head is resident, pull the first
-  // chained FlowRecord. Two lines: the first covers key+hash (the compare),
-  // the second the start of the gate bindings the core reads right after.
+  // chained entry: its Link (the hash compare) and two FlowRecord lines —
+  // the first covers the key, the second the start of the gate bindings
+  // the core reads right after.
   void prefetch_record(std::uint64_t hash) const noexcept {
     const std::int32_t i = buckets_[bucket_of(hash)];
     if (i >= 0) {
+      __builtin_prefetch(&links_[i]);
       const char* r = reinterpret_cast<const char*>(&recs_[i]);
       __builtin_prefetch(r);
       __builtin_prefetch(r + 64);
@@ -143,6 +161,10 @@ class FlowTable {
 
   FlowRecord& rec(pkt::FlowIndex i) noexcept { return recs_[i]; }
   const FlowRecord& rec(pkt::FlowIndex i) const noexcept { return recs_[i]; }
+  // The full key hash stored for a live entry.
+  std::uint64_t hash_of(pkt::FlowIndex i) const noexcept {
+    return links_[i].hash;
+  }
 
   // Removes an entry, invoking each bound instance's flow_removed callback
   // for its soft state.
@@ -166,16 +188,29 @@ class FlowTable {
   void reset_stats() noexcept { stats_ = {}; }
 
  private:
+  // Per-entry chain and LRU links, parallel to recs_. hash_next also
+  // threads the free list.
+  struct Link {
+    std::uint64_t hash{0};  // full key hash, compared before the key itself
+    std::int32_t hash_next{-1};
+    std::int32_t lru_prev{-1};
+    std::int32_t lru_next{-1};
+  };
+
   std::uint32_t bucket_of(std::uint64_t hash) const noexcept {
     return static_cast<std::uint32_t>(hash & (buckets_.size() - 1));
   }
+  // Doubles the record pool, then grows the bucket array to at least twice
+  // the pool (re-chaining every live entry).
   void grow_free_list();
+  void rehash(std::size_t buckets);
   void lru_push_front(pkt::FlowIndex i);
   void lru_unlink(pkt::FlowIndex i);
   void lru_touch(pkt::FlowIndex i);
   void unchain(pkt::FlowIndex i);
 
   std::vector<FlowRecord> recs_;
+  std::vector<Link> links_;
   std::vector<std::int32_t> buckets_;
   std::int32_t free_head_{-1};
   std::int32_t lru_head_{-1};  // most recently used

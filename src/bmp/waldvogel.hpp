@@ -9,12 +9,19 @@
 // ceil(log2(#lengths)) hash probes per lookup — 5 for IPv4, 7 for IPv6,
 // exactly the Table 2 accounting (2 * log2(W) / 2 accesses per address).
 //
+// Each per-length table is a flat open-addressing array of 24-byte slots
+// (linear probing, power-of-two size, load at most 3/4), sized exactly by a
+// counting pass before it is filled, so one logical probe reads one or two
+// adjacent cache lines rather than chasing hash-node pointers. Slot indices
+// come from a full-avalanche mix of the masked key: prefix-masked IPv4 keys
+// differ only in their top bits, which a multiplicative hash alone would
+// leave out of the low bits a power-of-two mask selects.
+//
 // Mutations update a raw prefix set and mark the search structure dirty; it
 // is rebuilt lazily on the next lookup (classifier/routing updates are
 // control-path operations in the paper's architecture).
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "bmp/lpm.hpp"
@@ -41,25 +48,36 @@ class WaldvogelBsl final : public LpmEngine {
 
   // Worst-case hash probes for the current table (diagnostics/benches).
   unsigned max_probes() const;
+  // Worst-case slots one hash probe reads: the longest run of occupied
+  // slots in any per-length table, plus the empty slot that ends a miss.
+  // A well-mixed table at load <= 3/4 keeps this small; a clustering hash
+  // makes it grow with the table.
+  std::size_t max_probe_run() const;
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const U128& k) const noexcept {
-      std::uint64_t h = k.hi * 0x9e3779b97f4a7c15ULL;
-      h ^= (k.lo + 0xc2b2ae3d27d4eb4fULL) + (h << 6) + (h >> 2);
-      h ^= h >> 31;
-      return static_cast<std::size_t>(h);
-    }
+  struct Slot {
+    U128 key{};
+    LpmValue bmp_value{0};  // best matching prefix of `key` (kHasBmp)
+    std::uint8_t bmp_plen{0};
+    std::uint8_t flags{0};  // 0 = empty slot
+  };
+  static_assert(sizeof(Slot) == 24);
+  static constexpr std::uint8_t kUsed = 1, kHasBmp = 2, kPrefix = 4;
+
+  // One per distinct prefix length.
+  struct Level {
+    U128 mask{};  // prefix mask for `len`
+    std::uint8_t len{0};
+    std::vector<Slot> slots;  // power-of-two size
+
+    // Index of the slot holding `key`, or of the empty slot ending its run.
+    std::size_t probe(U128 key) const noexcept;
+    const Slot* find(U128 key) const noexcept;
+    // The slot holding `key`, claiming the empty one if absent.
+    Slot& find_or_add(U128 key) noexcept;
   };
 
-  struct Entry {
-    bool is_prefix{false};
-    LpmValue value{0};
-    bool has_bmp{false};
-    LpmMatch bmp{};
-  };
-
-  using LengthTable = std::unordered_map<U128, Entry, KeyHash>;
+  static std::size_t slot_hash(U128 key) noexcept;
 
   void rebuild() const;
 
@@ -67,8 +85,7 @@ class WaldvogelBsl final : public LpmEngine {
   PrefixMap raw_;
 
   mutable bool dirty_{true};
-  mutable std::vector<std::uint8_t> lengths_;   // sorted, ascending, no 0
-  mutable std::vector<LengthTable> tables_;     // parallel to lengths_
+  mutable std::vector<Level> levels_;  // ascending length, no 0
   mutable bool has_default_{false};
   mutable LpmValue default_value_{0};
 };

@@ -316,9 +316,10 @@ void IpCore::process_classified_impl(pkt::PacketPtr p,
 
 // The tail shared by process_classified_impl and the grouped engine; the
 // differences are what `emit` does with an output-bound packet (enqueue
-// immediately vs defer into the chunk's op list) and whether the chunk-scoped
-// memo / inline binding accessors are used (UseMemo — the grouped engine; the
-// per-packet path compiles to exactly the pre-batching tail).
+// immediately vs defer into the chunk's op list) and whether the chunk memos,
+// per-flow route cache and inline binding accessors are used (UseMemo — the
+// grouped engine; the per-packet path compiles to exactly the pre-batching
+// tail).
 template <bool Traced, bool UseMemo, bool SkipGates, class Emit>
 void IpCore::finish_packet(pkt::PacketPtr p,
                            [[maybe_unused]] telemetry::TraceRecord* tr,
@@ -378,18 +379,23 @@ void IpCore::finish_packet(pkt::PacketPtr p,
     }
   }
   if (p->out_iface == pkt::kAnyIface) {
-    // Chunk-scoped memo: a flow's train shares one destination, so the trie
-    // walk runs once per run of same-dst packets (lookup is const — the
-    // cached pointer is exactly what a fresh lookup would return).
+    // Per-flow route cache: every packet of a flow shares its destination,
+    // so the BMP walk runs once per flow per routing-table generation. Any
+    // route mutation bumps the generation and the next packet re-resolves;
+    // a gate that rewrote the destination misses the key check and takes a
+    // fresh lookup, uncached.
     const route::NextHop* hop;
     if constexpr (UseMemo) {
-      if (memo->dst_valid && memo->dst == p->key.dst) {
-        hop = memo->hop;
+      const std::uint64_t gen = routes_.generation();
+      const bool own_dst = frp && frp->key.dst == p->key.dst;
+      if (own_dst && frp->route_gen == gen) {
+        hop = frp->route_hop;
       } else {
         hop = routes_.lookup(p->key.dst);
-        memo->dst = p->key.dst;
-        memo->hop = hop;
-        memo->dst_valid = true;
+        if (own_dst) {
+          frp->route_hop = hop;
+          frp->route_gen = gen;
+        }
       }
     } else {
       hop = routes_.lookup(p->key.dst);
@@ -794,19 +800,24 @@ void IpCore::process_chunk_grouped(GateList gl, pkt::PacketPtr** slots,
         (std::uint32_t{1} << aiu::gate_index(PluginType::sched)))) == 0;
   for (std::size_t k = 0; k < n_live; ++k) {
     const std::size_t s = live[k];
+    // Re-derived rather than fr[k]: an ICMP error emitted by an earlier
+    // packet's tail re-enters the core, and the flow it inserts may have
+    // grown (moved) the record pool.
+    const pkt::FlowIndex fix = lp[k]->fix;
+    aiu::FlowRecord* frp = fix != pkt::kNoFlow ? &flows.rec(fix) : nullptr;
 #if RP_TELEMETRY
     if (tel_ && tr[s]) {
       finish_packet<true, true, false>(std::move(*slots[s]), tr[s], t0[s],
-                                       &memo, fr[k], defer);
+                                       &memo, frp, defer);
       continue;
     }
 #endif
     if (skip_rs)
       finish_packet<false, true, true>(std::move(*slots[s]), nullptr, 0, &memo,
-                                       nullptr, defer);
+                                       frp, defer);
     else
       finish_packet<false, true, false>(std::move(*slots[s]), nullptr, 0,
-                                        &memo, fr[k], defer);
+                                        &memo, frp, defer);
   }
   flush_output_ops(ops);
   cur_ops_ = prev;

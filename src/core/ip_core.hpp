@@ -237,15 +237,13 @@ class IpCore final : public DataPath {
   void process_classified(pkt::PacketPtr p);
   template <bool Traced>
   void process_classified_impl(pkt::PacketPtr p, telemetry::TraceRecord* tr);
-  // Single-entry forwarding memo, valid for one grouped chunk: a flow's
-  // back-to-back packets share destination and output interface, so the
-  // route lookup and interface resolve hit here instead of the tables.
-  // Safe because RoutingTable::lookup is const and nothing mutates routes
-  // or interfaces mid-chunk (ICMP re-entry only emits packets).
+  // Interface and port memos, valid for one grouped chunk: a chunk's
+  // packets overwhelmingly share an output interface, so the interface
+  // resolve and the FIFO port fetch hit here instead of the tables. Safe
+  // because nothing mutates interfaces or ports mid-chunk (ICMP re-entry
+  // only emits packets). Route lookups are cached per flow instead
+  // (FlowRecord::route_hop), across chunks.
   struct FwdMemo {
-    netbase::IpAddr dst{};
-    const route::NextHop* hop{nullptr};
-    bool dst_valid{false};
     pkt::IfIndex oif{0};
     netdev::SimNic* nic{nullptr};
     // Output-FIFO port memo for the grouped tail's untraced fast path.
@@ -257,12 +255,12 @@ class IpCore final : public DataPath {
   // t_start)` receives each output-bound packet (fragments individually) —
   // the per-packet path enqueues immediately, the grouped path defers into
   // the chunk's output-op list so same-scheduler runs batch. UseMemo selects
-  // the chunk-scoped lookup memos and inline binding accessors of the
-  // grouped engine (`frp` is the packet's hoisted flow record, null when
-  // unresolved); with UseMemo=false (`memo`/`frp` null) this compiles to
-  // exactly the pre-batching per-packet tail. SkipGates (grouped engine
-  // only, implies UseMemo) is set when the chunk's flow records prove the
-  // routing and sched gates unbound for every packet, eliding both lookups.
+  // the grouped engine's chunk memos, inline binding accessors and per-flow
+  // route cache (`frp` is the packet's flow record, null when unresolved);
+  // with UseMemo=false (`memo`/`frp` null) this compiles to exactly the
+  // pre-batching per-packet tail. SkipGates (grouped engine only, implies
+  // UseMemo) is set when the chunk's flow records prove the routing and
+  // sched gates unbound for every packet, eliding both binding lookups.
   template <bool Traced, bool UseMemo, bool SkipGates, class Emit>
   void finish_packet(pkt::PacketPtr p, telemetry::TraceRecord* tr,
                      std::uint64_t t_start, FwdMemo* memo,

@@ -9,8 +9,9 @@ route::RouteBatchResult ControlPlane::apply_route_batch(
   const route::RouteBatchResult res = kernel_.routes().apply_batch(ops);
   if (sharded_) {
     // gather() runs the closure on each worker thread at a burst boundary:
-    // the core's forwarding memo assumes routes never mutate mid-chunk, and
-    // this is exactly the quiesce hook that guarantees it.
+    // the core reads next-hop pointers (its per-flow route cache included)
+    // across a chunk, so routes must never mutate mid-chunk, and this is
+    // exactly the quiesce hook that guarantees it.
     sharded_->gather([&ops](parallel::ShardContext& ctx) {
       ctx.routes().apply_batch(ops);
     });

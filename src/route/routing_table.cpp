@@ -25,6 +25,7 @@ std::uint32_t RoutingTable::alloc_hop(NextHop hop) {
 }
 
 Status RoutingTable::add(const netbase::IpPrefix& prefix, NextHop hop) {
+  ++gen_;
   const PrefixKey k = key_of(prefix);
   if (auto it = owner_.find(k); it != owner_.end()) {
     // Existing prefix: a next-hop change. Rewrite the hop record in place;
@@ -45,6 +46,7 @@ Status RoutingTable::add(const netbase::IpPrefix& prefix, NextHop hop) {
 }
 
 Status RoutingTable::remove(const netbase::IpPrefix& prefix) {
+  ++gen_;
   const Status st =
       engine_for(prefix.addr.ver).remove(prefix.addr.key(), prefix.len);
   if (st != Status::ok) return st;

@@ -11,7 +11,8 @@
 // prefixes recycle their hop slots through a free list so the table stays
 // flat under add/withdraw cycling, and apply_batch() applies a whole update
 // burst followed by one prepare() so lazily-rebuilt engines never stall the
-// packet path.
+// packet path. Every mutation bumps generation(), which is how the core's
+// per-flow next-hop cache learns that its answers may be stale.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +69,14 @@ class RoutingTable {
   // Force any deferred engine rebuild now (no-op for incremental engines).
   void prepare();
 
-  // Longest-prefix-match route lookup.
+  // Longest-prefix-match route lookup. The pointer stays valid, and its
+  // answer current, until generation() changes.
   const NextHop* lookup(const netbase::IpAddr& dst) const;
+
+  // Bumped by every add() and remove(), and so by every apply_batch(): a
+  // cached lookup() result is current exactly while the generation it was
+  // taken under is. Starts at 1, so 0 can stand for "nothing cached".
+  std::uint64_t generation() const noexcept { return gen_; }
 
   std::size_t size() const noexcept;
 
@@ -103,6 +110,7 @@ class RoutingTable {
   std::vector<NextHop> hops_;
   std::vector<std::uint32_t> free_hops_;
   std::map<PrefixKey, std::uint32_t> owner_;
+  std::uint64_t gen_{1};
 };
 
 }  // namespace rp::route

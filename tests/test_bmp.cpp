@@ -5,6 +5,8 @@
 
 #include <map>
 #include <optional>
+#include <set>
+#include <vector>
 
 #include "bmp/cpe.hpp"
 #include "bmp/lpm.hpp"
@@ -261,6 +263,182 @@ TEST(Patricia, DepthBoundedByWidth) {
 
 TEST(EngineFactory, UnknownNameIsNull) {
   EXPECT_EQ(make_lpm_engine("nope", 32), nullptr);
+}
+
+// ---- bsl against patricia on adversarial prefix sets ----
+//
+// Aligned blocks differ only in a few bits just above their prefix length,
+// the pattern that defeats a slot hash which leaves high key bits out of
+// the low bits a power-of-two mask keeps. Each set is checked three ways:
+// every lookup agrees with PATRICIA (value and length); each lookup's
+// counted accesses equal a reference model of the binary search — one per
+// length probed, however many slots a probe reads; and no probe reads a
+// long run of slots.
+
+using PrefixList = std::vector<std::pair<U128, std::uint8_t>>;
+
+// The per-length tables as std::sets: lengths, prefixes and the markers on
+// each prefix's binary-search path, built straight from the algorithm.
+class BslProbeModel {
+ public:
+  explicit BslProbeModel(const std::map<std::pair<U128, std::uint8_t>,
+                                        LpmValue>& raw) {
+    std::set<std::uint8_t> lens;
+    for (const auto& [kp, v] : raw)
+      if (kp.second) lens.insert(kp.second);
+    lengths_.assign(lens.begin(), lens.end());
+    entries_.resize(lengths_.size());
+    for (const auto& [kp, v] : raw) {
+      if (!kp.second) continue;
+      const int target = static_cast<int>(
+          std::find(lengths_.begin(), lengths_.end(), kp.second) -
+          lengths_.begin());
+      int lo = 0, hi = static_cast<int>(lengths_.size()) - 1;
+      while (lo <= hi) {
+        const int mid = (lo + hi) / 2;
+        if (mid > target) {
+          hi = mid - 1;
+          continue;
+        }
+        entries_[mid].insert(kp.first & U128::prefix_mask(lengths_[mid]));
+        if (mid == target) break;
+        lo = mid + 1;
+      }
+    }
+  }
+  std::uint64_t probes(U128 key) const {
+    std::uint64_t n = 0;
+    int lo = 0, hi = static_cast<int>(lengths_.size()) - 1;
+    while (lo <= hi) {
+      const int mid = (lo + hi) / 2;
+      ++n;
+      if (entries_[mid].contains(key & U128::prefix_mask(lengths_[mid])))
+        lo = mid + 1;
+      else
+        hi = mid - 1;
+    }
+    return n;
+  }
+
+ private:
+  std::vector<std::uint8_t> lengths_;
+  std::vector<std::set<U128>> entries_;
+};
+
+class BslAdversarial {
+ public:
+  explicit BslAdversarial(unsigned width)
+      : width_(width), bsl_(width), ref_(width) {}
+
+  void add(U128 key, std::uint8_t plen, LpmValue v) {
+    key = key & U128::prefix_mask(plen);
+    raw_[{key, plen}] = v;
+    ASSERT_EQ(bsl_.insert(key, plen, v), Status::ok);
+    ASSERT_EQ(ref_.insert(key, plen, v), Status::ok);
+  }
+  void remove(U128 key, std::uint8_t plen) {
+    key = key & U128::prefix_mask(plen);
+    raw_.erase({key, plen});
+    ASSERT_EQ(bsl_.remove(key, plen), Status::ok);
+    ASSERT_EQ(ref_.remove(key, plen), Status::ok);
+  }
+
+  // Looks up every prefix's base address, a random address inside it and
+  // as many fully random addresses, checking agreement and access counts.
+  void check(Rng& rng) {
+    bsl_.prepare();
+    const BslProbeModel model(raw_);
+    std::vector<U128> queries;
+    for (const auto& [kp, v] : raw_) {
+      const U128 mask = U128::prefix_mask(kp.second);
+      queries.push_back(kp.first);
+      queries.push_back(kp.first | (random_key(rng) & ~mask));
+      queries.push_back(random_key(rng));
+    }
+    for (const U128& q : queries) {
+      LpmMatch want, got;
+      const bool want_found = ref_.lookup(q, want);
+      MemAccess::reset();
+      const bool found = bsl_.lookup(q, got);
+      ASSERT_EQ(MemAccess::total(), model.probes(q));
+      ASSERT_EQ(found, want_found);
+      if (found) {
+        ASSERT_EQ(got.plen, want.plen);
+        ASSERT_EQ(got.value, want.value);
+      }
+    }
+    // A few slots per probe at load <= 3/4. A hash that clusters these
+    // sets puts thousands of keys in one run.
+    EXPECT_LE(bsl_.max_probe_run(), 64u);
+  }
+
+  std::size_t size() const { return raw_.size(); }
+  const WaldvogelBsl& bsl() const { return bsl_; }
+
+ private:
+  U128 random_key(Rng& rng) const {
+    return U128{rng.next(), width_ > 64 ? rng.next() : 0} &
+           U128::prefix_mask(static_cast<std::uint8_t>(width_));
+  }
+
+  unsigned width_;
+  WaldvogelBsl bsl_;
+  PatriciaTrie ref_;
+  std::map<std::pair<U128, std::uint8_t>, LpmValue> raw_;
+};
+
+TEST(WaldvogelBsl, AlignedV4BlocksMatchPatricia) {
+  BslAdversarial t(32);
+  LpmValue v = 1;
+  t.add({}, 0, v++);  // default route
+  for (unsigned a = 0; a < 256; ++a) t.add(v4key(a, 0, 0, 0), 8, v++);
+  for (unsigned a = 10; a < 14; ++a)
+    for (unsigned b = 0; b < 256; ++b) t.add(v4key(a, b, 0, 0), 16, v++);
+  for (unsigned b = 0; b < 16; ++b)
+    for (unsigned c = 0; c < 256; ++c) t.add(v4key(10, b, c, 0), 24, v++);
+  for (unsigned d = 0; d < 256; ++d) t.add(v4key(10, 0, 0, d), 32, v++);
+  Rng rng(401);
+  t.check(rng);
+}
+
+TEST(WaldvogelBsl, AlignedV6BlocksMatchPatricia) {
+  BslAdversarial t(128);
+  const U128 base = netbase::IpPrefix::parse("2001:db8::/32")->addr.key();
+  LpmValue v = 1;
+  t.add({}, 0, v++);
+  for (std::uint8_t len : {32, 40, 48, 56, 64})
+    for (std::uint64_t i = 0; i < 512; ++i)
+      t.add(U128{base.hi | (i << (64 - len)), 0}, len, v++);
+  Rng rng(402);
+  t.check(rng);
+}
+
+TEST(WaldvogelBsl, RemoveReaddRebuildMatchesPatricia) {
+  BslAdversarial t(32);
+  LpmValue v = 1;
+  t.add({}, 0, v++);
+  PrefixList blocks;
+  for (unsigned a = 0; a < 256; ++a) blocks.push_back({v4key(a, 0, 0, 0), 8});
+  for (unsigned b = 0; b < 256; ++b) blocks.push_back({v4key(10, b, 0, 0), 16});
+  for (unsigned c = 0; c < 1024; ++c)
+    blocks.push_back(
+        {v4key(10, static_cast<std::uint8_t>(c >> 8),
+               static_cast<std::uint8_t>(c), 0),
+         24});
+  for (const auto& [k, len] : blocks) t.add(k, len, v++);
+  Rng rng(403);
+  t.check(rng);
+  // Withdraw every other block and the default, then re-add them with new
+  // values: each step forces a rebuild that must see exactly the live set.
+  for (std::size_t i = 0; i < blocks.size(); i += 2)
+    t.remove(blocks[i].first, blocks[i].second);
+  t.remove({}, 0);
+  t.check(rng);
+  for (std::size_t i = 0; i < blocks.size(); i += 2)
+    t.add(blocks[i].first, blocks[i].second, v++);
+  t.add({}, 0, v++);
+  EXPECT_EQ(t.size(), blocks.size() + 1);
+  t.check(rng);
 }
 
 }  // namespace

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -644,6 +647,113 @@ TEST(ChurnDiff, UpgradeWithoutMigrateHookDropsSoftStateSafely) {
 }
 
 // ---------------------------------------------------------------------------
+// Per-flow route cache: a cached flow's packets reuse the next hop stored in
+// their flow record while the routing table's generation is unchanged. Every
+// kind of route mutation must reach the very next packet of such a flow.
+
+// The mutation sequence both the kernel and the sharded test replay. Flow
+// under test: 10.0.0.1 -> 60.1.2.3; its expected egress after each step.
+struct RouteCacheStep {
+  const char* what;
+  bool batch;  // through ControlPlane::apply_route_batch, else routes()
+  route::RouteOp op;
+  std::optional<pkt::IfIndex> want;
+};
+
+const IpAddr kCachedDst{netbase::Ipv4Addr(60, 1, 2, 3)};
+
+std::vector<RouteCacheStep> route_cache_steps() {
+  using K = route::RouteOp::Kind;
+  const IpPrefix p8(IpAddr(netbase::Ipv4Addr(60, 0, 0, 0)), 8);
+  const IpPrefix p16(IpAddr(netbase::Ipv4Addr(60, 1, 0, 0)), 16);
+  const IpPrefix p24(IpAddr(netbase::Ipv4Addr(60, 1, 2, 0)), 24);
+  return {
+      {"more-specific add", true, {K::add, p16, {2, {}}}, 2},
+      {"withdraw", true, {K::withdraw, p16, {}}, 1},
+      {"in-place next-hop rewrite", true, {K::add, p8, {0, {}}}, 0},
+      {"direct routes().add", false, {K::add, p24, {2, {}}}, 2},
+      {"direct routes().remove", false, {K::withdraw, p24, {}}, 0},
+      {"direct remove of the last cover", false, {K::withdraw, p8, {}},
+       std::nullopt},
+      {"direct re-add", false, {K::add, p8, {1, {}}}, 1},
+  };
+}
+
+void apply_direct(route::RoutingTable& rt, const route::RouteOp& op) {
+  if (op.kind == route::RouteOp::Kind::add)
+    ASSERT_EQ(rt.add(op.prefix, op.hop), Status::ok);
+  else
+    ASSERT_EQ(rt.remove(op.prefix), Status::ok);
+}
+
+// True iff `t` holds a live record of a flow to `dst` whose cached next hop
+// is current for `rt` — i.e. the grouped tail filled the cache.
+bool route_cached(const aiu::FlowTable& t, const route::RoutingTable& rt,
+                  const IpAddr& dst) {
+  for (std::size_t i = 0; i < t.capacity(); ++i) {
+    const aiu::FlowRecord& r = t.rec(static_cast<pkt::FlowIndex>(i));
+    if (r.in_use && r.key.dst == dst && r.route_gen == rt.generation())
+      return true;
+  }
+  return false;
+}
+
+TEST(ChurnDiff, RouteCacheFollowsEveryRouteMutation) {
+  for (const char* engine : {"bsl", "patricia", "cpe"}) {
+    SCOPED_TRACE(engine);
+    core::RouterKernel::Options opt;
+    opt.route_engine = engine;
+    core::RouterKernel kernel(opt);
+    for (const char* n : {"if0", "if1", "if2"}) kernel.add_interface(n);
+    ctrl::ControlPlane cp(kernel);
+    ASSERT_EQ(kernel.routes().add(
+                  IpPrefix(IpAddr(netbase::Ipv4Addr(60, 0, 0, 0)), 8),
+                  {1, {}}),
+              Status::ok);
+
+    // A train of the flow in one burst takes the grouped engine, whose
+    // tail owns the route cache; returns each packet's egress interface.
+    auto send_train = [&] {
+      std::vector<pkt::PacketPtr> burst;
+      for (int i = 0; i < 4; ++i)
+        burst.push_back(packet_to(kCachedDst.v4().v, 1000));
+      kernel.core().process_burst(burst);
+      std::vector<pkt::IfIndex> out;
+      for (pkt::IfIndex ifx = 0; ifx < 3; ++ifx)
+        while (kernel.core().next_for_tx(ifx, kernel.clock().now()))
+          out.push_back(ifx);
+      return out;
+    };
+
+    ASSERT_EQ(send_train(), std::vector<pkt::IfIndex>(4, 1));
+    ASSERT_TRUE(route_cached(kernel.aiu().flow_table(), kernel.routes(),
+                             kCachedDst));
+    std::uint64_t no_route = 0;
+    for (const RouteCacheStep& step : route_cache_steps()) {
+      SCOPED_TRACE(step.what);
+      const std::uint64_t gen = kernel.routes().generation();
+      if (step.batch)
+        ASSERT_EQ(cp.apply_route_batch({step.op}).failed, 0u);
+      else
+        apply_direct(kernel.routes(), step.op);
+      EXPECT_GT(kernel.routes().generation(), gen);
+      const std::vector<pkt::IfIndex> out = send_train();
+      if (step.want) {
+        EXPECT_EQ(out, std::vector<pkt::IfIndex>(4, *step.want));
+        EXPECT_TRUE(route_cached(kernel.aiu().flow_table(), kernel.routes(),
+                                 kCachedDst));
+      } else {
+        EXPECT_TRUE(out.empty());
+        no_route += 4;
+      }
+      EXPECT_EQ(kernel.core().counters().dropped(core::DropReason::no_route),
+                no_route);
+    }
+    EXPECT_EQ(kernel.aiu().flow_table().active(), 1u);  // one cached flow
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Sharded churn under live worker-thread traffic (label churn-parallel-tsan).
 
 struct ShardTaps {
@@ -861,6 +971,80 @@ TEST(ChurnShard, TwoWorkersZeroLossUnderFullChurn) {
 
 TEST(ChurnShard, FourWorkersZeroLossUnderFullChurn) {
   for (std::uint64_t seed : {3ull, 90210ull}) run_shard_churn(4, seed);
+}
+
+// The same mutation sequence against a two-worker ShardedDatapath driven
+// through the ControlPlane: batches fan out to every shard at a burst
+// boundary, direct routes() edits run on each worker via gather(). Each
+// train is held back until it is fully queued, so the owning worker takes
+// it as one burst through the grouped engine.
+TEST(ChurnShard, RouteCacheFollowsEveryRouteMutation) {
+  const IpPrefix p8(IpAddr(netbase::Ipv4Addr(60, 0, 0, 0)), 8);
+  auto setup = [&](auto& s) {
+    for (const char* n : {"if0", "if1", "if2"}) s.interfaces().add(n);
+    ASSERT_EQ(s.routes().add(p8, {1, {}}), Status::ok);
+  };
+  core::RouterKernel kernel;
+  setup(kernel);
+  parallel::ShardedDatapath::Options opt;
+  opt.workers = 2;
+  opt.ring_capacity = 64;
+  parallel::ShardedDatapath dp(opt,
+                               [&](parallel::ShardContext& ctx) { setup(ctx); });
+  std::mutex mu;
+  std::vector<pkt::IfIndex> egress;
+  dp.set_tx_handler(
+      [&](parallel::ShardContext&, pkt::IfIndex ifx, pkt::PacketPtr) {
+        std::lock_guard<std::mutex> lk(mu);
+        egress.push_back(ifx);
+      });
+  ctrl::ControlPlane cp(kernel);
+  cp.attach_sharded(&dp);
+
+  auto send_train = [&] {
+    std::atomic<bool> go{false};
+    dp.broadcast([&go](parallel::ShardContext&) {
+      while (!go.load()) std::this_thread::yield();
+    });
+    for (int i = 0; i < 4; ++i) dp.submit(packet_to(kCachedDst.v4().v, 1000));
+    go = true;
+    dp.quiesce();
+    std::lock_guard<std::mutex> lk(mu);
+    std::vector<pkt::IfIndex> out;
+    out.swap(egress);
+    return out;
+  };
+  auto cached_on_some_shard = [&] {
+    std::atomic<int> n{0};
+    dp.gather([&](parallel::ShardContext& ctx) {
+      if (route_cached(ctx.aiu().flow_table(), ctx.routes(), kCachedDst)) ++n;
+    });
+    return n.load();
+  };
+
+  ASSERT_EQ(send_train(), std::vector<pkt::IfIndex>(4, 1));
+  EXPECT_EQ(cached_on_some_shard(), 1);
+  std::uint64_t no_route = 0;
+  for (const RouteCacheStep& step : route_cache_steps()) {
+    SCOPED_TRACE(step.what);
+    if (step.batch)
+      ASSERT_EQ(cp.apply_route_batch({step.op}).failed, 0u);
+    else
+      dp.gather([&](parallel::ShardContext& ctx) {
+        apply_direct(ctx.routes(), step.op);
+      });
+    const std::vector<pkt::IfIndex> out = send_train();
+    if (step.want) {
+      EXPECT_EQ(out, std::vector<pkt::IfIndex>(4, *step.want));
+      EXPECT_EQ(cached_on_some_shard(), 1);
+    } else {
+      EXPECT_TRUE(out.empty());
+      no_route += 4;
+    }
+    EXPECT_EQ(dp.aggregate_counters().dropped(core::DropReason::no_route),
+              no_route);
+  }
+  dp.stop();
 }
 
 }  // namespace

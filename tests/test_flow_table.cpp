@@ -1,9 +1,15 @@
 // Tests for the flow table: hashing, chaining, the §5.2 free-list growth
-// sequence (1024, 2048, 4096, ...), LRU recycling at the record cap, idle
-// expiry, and the flow_removed soft-state callback.
+// sequence (1024, 2048, 4096, ...), bucket-array growth, LRU recycling at
+// the record cap, idle expiry, and the flow_removed soft-state callback —
+// plus a randomized differential against a reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
+#include <map>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "aiu/flow_table.hpp"
 #include "netbase/memaccess.hpp"
@@ -40,6 +46,10 @@ class RecordingInstance final : public plugin::PluginInstance {
   void* last_soft{nullptr};
 };
 
+// The route cache fits in the bytes the chain and LRU links vacated: a
+// record is no larger than before they moved to the side array.
+static_assert(sizeof(FlowRecord) <= 376);
+
 TEST(FlowTable, InsertLookupRemove) {
   FlowTable t(1024, 16, 4096);
   EXPECT_EQ(t.lookup(mk(1), 0), pkt::kNoFlow);
@@ -55,7 +65,9 @@ TEST(FlowTable, InsertLookupRemove) {
 }
 
 TEST(FlowTable, CollisionChainsResolve) {
-  // 1-bucket table: everything collides; all entries must still be found.
+  // 1-bucket table: the first eight entries all collide, and the rest are
+  // re-chained as the pool (and with it the bucket array) grows; all
+  // entries must still be found.
   FlowTable t(1, 8, 1024);
   std::vector<pkt::FlowIndex> idx;
   for (std::uint32_t i = 0; i < 50; ++i) idx.push_back(t.insert(mk(i), i));
@@ -221,7 +233,7 @@ TEST(FlowTable, ExpireIdleThenPrecomputedHashLookup) {
   EXPECT_EQ(t.lookup(k2, 500), pkt::kNoFlow);
   auto i2 = t.insert(k2, k2.hash(), 600);
   ASSERT_NE(i2, pkt::kNoFlow);
-  EXPECT_EQ(t.rec(i2).hash, k2.hash());
+  EXPECT_EQ(t.hash_of(i2), k2.hash());
   EXPECT_EQ(t.lookup(k2, k2.hash(), 700), i2);
 }
 
@@ -342,6 +354,258 @@ TEST(FlowTable, StressRandomOpsAgainstReference) {
     }
     ASSERT_LE(t.active(), 128u);
   }
+}
+
+// ---- randomized differential against a reference model ----
+//
+// The model is the table's contract written the obvious way: a map from
+// key to entry plus a std::list in LRU order (front = most recent). Every
+// operation runs on both, and hits, misses, returned indices, recycle
+// victims, expiry and purge order, per-entry accounting and stats() must
+// agree exactly.
+class FlowTableModel {
+ public:
+  struct Entry {
+    pkt::FlowIndex fix{pkt::kNoFlow};
+    netbase::SimTime last_used{0};
+    std::uint64_t packets{0};
+    int inst{-1};    // index into the test's instances, or -1
+    int filter{-1};  // index into the test's filters, or -1
+    std::list<std::uint32_t>::iterator lru;
+  };
+
+  FlowTableModel(std::size_t initial, std::size_t max)
+      : capacity_(initial), max_(max) {}
+
+  Entry* find(std::uint32_t id) {
+    auto it = m_.find(id);
+    return it == m_.end() ? nullptr : &it->second;
+  }
+  void hit(std::uint32_t id, netbase::SimTime now) {
+    Entry& e = m_.at(id);
+    e.last_used = now;
+    ++e.packets;
+    lru_.splice(lru_.begin(), lru_, e.lru);
+    ++stats.hits;
+  }
+  // Returns the id recycled to make room, if any.
+  std::optional<std::uint32_t> insert(std::uint32_t id, netbase::SimTime now,
+                                      pkt::FlowIndex fix, int inst,
+                                      int filter) {
+    std::optional<std::uint32_t> victim;
+    if (m_.size() == capacity_ && capacity_ < max_) {
+      capacity_ = std::min(capacity_ * 2, max_);
+      ++stats.grown;
+    }
+    if (m_.size() == capacity_) {
+      victim = lru_.back();
+      erase(*victim);
+      ++stats.recycled;
+    }
+    lru_.push_front(id);
+    m_[id] = Entry{fix, now, 0, inst, filter, lru_.begin()};
+    ++stats.inserts;
+    return victim;
+  }
+  void remove(std::uint32_t id) {
+    erase(id);
+    ++stats.removed;
+  }
+  std::vector<std::uint32_t> expire(netbase::SimTime cutoff) {
+    std::vector<std::uint32_t> out;
+    while (!lru_.empty() && m_.at(lru_.back()).last_used < cutoff) {
+      out.push_back(lru_.back());
+      remove(lru_.back());
+    }
+    return out;
+  }
+  // Ids matching `pred`, in the table's purge order (ascending index).
+  template <class Pred>
+  std::vector<std::uint32_t> purge(Pred pred) {
+    std::vector<std::pair<pkt::FlowIndex, std::uint32_t>> hits;
+    for (const auto& [id, e] : m_)
+      if (pred(e)) hits.emplace_back(e.fix, id);
+    std::sort(hits.begin(), hits.end());
+    std::vector<std::uint32_t> out;
+    for (const auto& [fix, id] : hits) {
+      out.push_back(id);
+      remove(id);
+    }
+    return out;
+  }
+  std::size_t size() const { return m_.size(); }
+  std::size_t capacity() const { return capacity_; }
+  const std::map<std::uint32_t, Entry>& entries() const { return m_; }
+
+  FlowTable::Stats stats;
+
+ private:
+  void erase(std::uint32_t id) {
+    lru_.erase(m_.at(id).lru);
+    m_.erase(id);
+  }
+
+  std::map<std::uint32_t, Entry> m_;
+  std::list<std::uint32_t> lru_;
+  std::size_t capacity_;
+  std::size_t max_;
+};
+
+void expect_same_stats(const FlowTable::Stats& a, const FlowTable::Stats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.inserts, b.inserts);
+  EXPECT_EQ(a.recycled, b.recycled);
+  EXPECT_EQ(a.removed, b.removed);
+  EXPECT_EQ(a.grown, b.grown);
+}
+
+TEST(FlowTableProperty, MatchesReferenceModelThroughGrowthAndCap) {
+  constexpr std::size_t kInitial = 8, kMax = 512, kBuckets = 16;
+  constexpr std::uint32_t kUniverse = 1500;  // ids < 65536: sport == id
+  FlowTable t(kBuckets, kInitial, kMax);
+  FlowTableModel model(kInitial, kMax);
+  RecordingInstance insts[2];
+  FilterRecord filters[2];
+
+  std::vector<std::pair<std::uint32_t, FlowTable::RemoveReason>> removed;
+  t.set_remove_hook([&](const FlowRecord& r, FlowTable::RemoveReason why) {
+    removed.emplace_back(r.key.sport, why);
+  });
+  auto take_removed = [&] {
+    std::vector<std::uint32_t> ids;
+    for (const auto& [id, why] : removed) ids.push_back(id);
+    removed.clear();
+    return ids;
+  };
+
+  Rng rng(0xf10e);
+  netbase::SimTime now = 0;
+  std::size_t bucket_doublings = 0;
+  std::size_t last_buckets = t.bucket_count();
+  bool reached_cap = false;
+  for (int step = 0; step < 40000; ++step) {
+    now += 1 + static_cast<netbase::SimTime>(rng.next() % 3);
+    const std::uint32_t id = static_cast<std::uint32_t>(rng.next() % kUniverse);
+    const pkt::FlowKey k = mk(id);
+    FlowTableModel::Entry* e = model.find(id);
+    const unsigned op = static_cast<unsigned>(rng.next() % 1000);
+    if (op < 450) {  // lookup, then insert on a miss (the AIU's pattern)
+      const pkt::FlowIndex got = t.lookup(k, k.hash(), now);
+      if (e) {
+        ASSERT_EQ(got, e->fix) << "step " << step;
+        model.hit(id, now);
+      } else {
+        ASSERT_EQ(got, pkt::kNoFlow) << "step " << step;
+        ++model.stats.misses;
+        // One flow in eight each bound to an instance and a filter, so a
+        // purge takes a slice of the table, not a third of it.
+        const auto pick = [&] {
+          const int r = static_cast<int>(rng.next() % 16);
+          return r < 2 ? r : -1;
+        };
+        const int inst = pick();
+        const int filter = pick();
+        const pkt::FlowIndex fix = t.insert(k, k.hash(), now);
+        if (inst >= 0) t.rec(fix).gates[1] = {&insts[inst], nullptr, nullptr};
+        if (filter >= 0) t.rec(fix).gates[2] = {nullptr, nullptr, &filters[filter]};
+        const auto victim = model.insert(id, now, fix, inst, filter);
+        if (victim) {
+          ASSERT_EQ(removed.size(), 1u) << "step " << step;
+          EXPECT_EQ(removed[0].first, *victim) << "step " << step;
+          EXPECT_EQ(removed[0].second, FlowTable::RemoveReason::recycled);
+          reached_cap = true;
+        } else {
+          ASSERT_TRUE(removed.empty()) << "step " << step;
+        }
+        removed.clear();
+      }
+    } else if (op < 600) {  // key-only lookup of a possibly absent flow
+      const pkt::FlowIndex got = t.lookup(k, now);
+      ASSERT_EQ(got, e ? e->fix : pkt::kNoFlow) << "step " << step;
+      if (e)
+        model.hit(id, now);
+      else
+        ++model.stats.misses;
+    } else if (op < 750) {  // memo-style touch of a live flow
+      if (!e) continue;
+      t.touch(e->fix, now);
+      model.hit(id, now);
+    } else if (op < 800) {  // explicit remove
+      if (!e) continue;
+      t.remove(e->fix);
+      model.remove(id);
+      EXPECT_EQ(take_removed(), std::vector<std::uint32_t>{id});
+    } else if (op < 998) {  // idle expiry, in LRU order
+      const netbase::SimTime cutoff =
+          now - 8000 - static_cast<netbase::SimTime>(rng.next() % 16000);
+      const std::vector<std::uint32_t> want = model.expire(cutoff);
+      EXPECT_EQ(t.expire_idle(cutoff), want.size());
+      EXPECT_EQ(take_removed(), want) << "step " << step;
+    } else if (op == 998) {
+      const int which = static_cast<int>(rng.next() % 2);
+      const auto want = model.purge(
+          [&](const FlowTableModel::Entry& m) { return m.inst == which; });
+      EXPECT_EQ(t.purge_instance(&insts[which]), want.size());
+      EXPECT_EQ(take_removed(), want) << "step " << step;
+    } else {
+      const int which = static_cast<int>(rng.next() % 2);
+      const auto want = model.purge(
+          [&](const FlowTableModel::Entry& m) { return m.filter == which; });
+      EXPECT_EQ(t.purge_filter(&filters[which]), want.size());
+      EXPECT_EQ(take_removed(), want) << "step " << step;
+    }
+
+    ASSERT_EQ(t.active(), model.size()) << "step " << step;
+    ASSERT_EQ(t.capacity(), model.capacity()) << "step " << step;
+    // Two buckets per record: the load factor never exceeds 1/2.
+    ASSERT_GE(t.bucket_count(), 2 * t.capacity()) << "step " << step;
+    if (t.bucket_count() != last_buckets) {
+      EXPECT_EQ(t.bucket_count() % last_buckets, 0u);
+      while (last_buckets < t.bucket_count()) {
+        last_buckets *= 2;
+        ++bucket_doublings;
+      }
+    }
+    if (step % 997 == 0) {
+      expect_same_stats(t.stats(), model.stats);
+      for (const auto& [mid, me] : model.entries()) {
+        const FlowRecord& r = t.rec(me.fix);
+        ASSERT_TRUE(r.in_use);
+        EXPECT_EQ(r.key, mk(mid));
+        EXPECT_EQ(r.last_used, me.last_used);
+        EXPECT_EQ(r.packets, me.packets);
+        EXPECT_EQ(t.hash_of(me.fix), mk(mid).hash());
+      }
+    }
+  }
+  expect_same_stats(t.stats(), model.stats);
+  EXPECT_GE(bucket_doublings, 3u);
+  EXPECT_TRUE(reached_cap);
+  EXPECT_EQ(t.capacity(), kMax);
+  EXPECT_GT(t.stats().recycled, 0u);
+  EXPECT_GT(t.stats().hits, 0u);
+  t.set_remove_hook(nullptr);
+}
+
+TEST(FlowTable, HitCostAtQuarterMillionFlows) {
+  // Figure B's largest point. With a fixed 32768 buckets this was load 8
+  // and ~6 accesses per hit; grown buckets keep it at the paper's ~2.
+  constexpr std::size_t kFlows = 262144;
+  FlowTable t(32768, 1024, 1 << 20);
+  Rng rng(kFlows);
+  std::vector<pkt::FlowKey> keys;
+  keys.reserve(kFlows);
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    keys.push_back(tgen::random_key(rng));
+    t.insert(keys.back(), 0);
+  }
+  ASSERT_EQ(t.active(), kFlows);
+  MemAccess::reset();
+  for (const auto& k : keys) ASSERT_NE(t.lookup(k, 1), pkt::kNoFlow);
+  const double per_hit =
+      static_cast<double>(MemAccess::total()) / static_cast<double>(kFlows);
+  EXPECT_LE(per_hit, 2.5);
 }
 
 }  // namespace
